@@ -147,12 +147,10 @@ def profile_policy(
         live = 0
         queued = 0
         for job in simulation.jobs.values():
-            for subjob in job.subjobs:
-                if subjob.state in (SubjobState.PENDING, SubjobState.SUSPENDED):
+            live += len(job.live)
+            for subjob in job.live:
+                if subjob.state is not SubjobState.RUNNING:
                     queued += 1
-                    live += 1
-                elif subjob.state is SubjobState.RUNNING:
-                    live += 1
         extents = sum(n.cache.extent_count() for n in simulation.cluster)
         report.space.append(
             SpaceSample(

@@ -421,7 +421,7 @@ class Node:
     def _finish_subjob(self, subjob: Subjob, deferred: bool) -> None:
         if self.checker is not None:
             self.checker.on_subjob_finish(self, subjob)
-        subjob.state = SubjobState.DONE
+        subjob.finish()
         subjob.node = None
         self.stats.subjobs_completed += 1
         if self.obs.enabled:

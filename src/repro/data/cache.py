@@ -131,9 +131,35 @@ class LRUSegmentCache:
 
     def cached_events(self, interval: Interval) -> int:
         """Number of events of ``interval`` present in the cache."""
+        return self.cached_between(interval.start, interval.end)
+
+    def cached_between(self, start: int, end: int) -> int:
+        """Number of cached events in ``[start, end)`` (0 if empty or inverted).
+
+        The allocation-free form of :meth:`cached_events` for hot loops
+        that hold the bounds as ints: no ``Interval``, no extent list.
+        """
+        starts = self._starts
+        if start >= end or not starts:
+            return 0
+        by_start = self._by_start
+        # Extents are disjoint and start-sorted: only the one at or left
+        # of ``start`` can begin before the query.
+        index = bisect_right(starts, start) - 1
+        if index < 0:
+            index = 0
+        n = len(starts)
         total = 0
-        for extent in self._overlapping(interval):
-            total += extent.interval.intersection(interval).length
+        while index < n:
+            extent_start = starts[index]
+            if extent_start >= end:
+                break
+            extent_end = by_start[extent_start].interval.end
+            if extent_end > start:
+                total += (extent_end if extent_end < end else end) - (
+                    extent_start if extent_start > start else start
+                )
+            index += 1
         return total
 
     def covers(self, interval: Interval) -> bool:

@@ -443,12 +443,21 @@ def best_subjob_for_node(
 ) -> Optional[Subjob]:
     """The candidate with the most remaining data cached on ``node``
     (ties → largest remaining, then arrival order)."""
+    # Lexicographic strict ``(cached, remaining) > best`` on plain ints:
+    # no Interval, tuple or list per candidate.
+    cached_between = node.cache.cached_between
     best: Optional[Subjob] = None
-    best_key: Tuple[int, int] = (-1, -1)
+    best_cached = -1
+    best_remaining = -1
     for subjob in candidates:
-        cached = node.cache.cached_events(subjob.remaining)
-        key = (cached, subjob.remaining_events)
-        if key > best_key:
-            best_key = key
+        segment = subjob.segment
+        start = segment.start + subjob.processed
+        end = segment.end
+        cached = cached_between(start, end)
+        if cached > best_cached or (
+            cached == best_cached and end - start > best_remaining
+        ):
+            best_cached = cached
+            best_remaining = end - start
             best = subjob
     return best

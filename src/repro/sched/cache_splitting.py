@@ -188,8 +188,8 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
         waiting = [
             s
             for other in self.running_jobs
-            for s in other.subjobs
-            if s.state in (SubjobState.PENDING, SubjobState.SUSPENDED)
+            for s in other.live
+            if s.state is not SubjobState.RUNNING
         ]
         if waiting:
             chosen = best_subjob_for_node(node, waiting)
@@ -203,11 +203,12 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
         """Split the running subjob whose remaining data is most cached on
         ``node``, cutting so the freed node receives the cached run;
         fall back to halving the largest running subjob."""
+        min_split = 2 * self.min_subjob_events
         running = [
             s
             for other in self.running_jobs
             for s in other.running_subjobs()
-            if s.remaining_events >= 2 * self.min_subjob_events
+            if s.remaining_events >= min_split
         ]
         if not running:
             return

@@ -15,7 +15,14 @@ Invariants (checked by :meth:`Job.check_invariants`):
 
 * subjob segments tile the job segment exactly (no gaps, no overlaps);
 * ``job.events_done`` equals the sum of subjob progress;
-* a DONE job has every subjob DONE and ``events_done == n_events``.
+* a DONE job has every subjob DONE and ``events_done == n_events``;
+* ``job.live`` is exactly the non-DONE subjobs of ``job.subjobs``, in
+  the same (creation) order.
+
+``job.subjobs`` is the full history; ``job.live`` is the index the
+per-state queries read, so their cost is O(live subjobs), not O(every
+piece ever split off).  Subjobs enter ``live`` where they are created and
+leave it at the one DONE transition, :meth:`Subjob.finish`.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ class Job:
         "events_done",
         "state",
         "subjobs",
+        "live",
         "_next_subjob_seq",
     )
 
@@ -92,7 +100,10 @@ class Job:
         self.completion: Optional[float] = None
         self.events_done: int = 0
         self.state = JobState.PENDING
+        #: Every subjob ever created, in creation order (history).
         self.subjobs: List[Subjob] = []
+        #: The non-DONE subjobs, in creation order (the live index).
+        self.live: List[Subjob] = []
         self._next_subjob_seq = itertools.count()
 
     # -- structure -----------------------------------------------------------
@@ -106,6 +117,7 @@ class Job:
             raise SchedulingError(f"job {self.job_id} already has subjobs")
         subjob = Subjob(self, self.segment)
         self.subjobs.append(subjob)
+        self.live.append(subjob)
         return subjob
 
     def make_subjobs(self, segments: List[Interval]) -> List["Subjob"]:
@@ -118,6 +130,7 @@ class Job:
                 f"segments cover {total} events, job has {self.n_events}"
             )
         self.subjobs = [Subjob(self, seg) for seg in sorted(segments)]
+        self.live = list(self.subjobs)
         return list(self.subjobs)
 
     def new_subjob_seq(self) -> int:
@@ -151,9 +164,7 @@ class Job:
         the transition."""
         if self.state is JobState.DONE:
             return False
-        if self.events_done == self.n_events and all(
-            s.state is SubjobState.DONE for s in self.subjobs
-        ):
+        if self.events_done == self.n_events and not self.live:
             self.state = JobState.DONE
             self.completion = now
             return True
@@ -162,13 +173,13 @@ class Job:
     # -- queries used by policies -------------------------------------------
 
     def running_subjobs(self) -> List["Subjob"]:
-        return [s for s in self.subjobs if s.state is SubjobState.RUNNING]
+        return [s for s in self.live if s.state is SubjobState.RUNNING]
 
     def suspended_subjobs(self) -> List["Subjob"]:
-        return [s for s in self.subjobs if s.state is SubjobState.SUSPENDED]
+        return [s for s in self.live if s.state is SubjobState.SUSPENDED]
 
     def pending_subjobs(self) -> List["Subjob"]:
-        return [s for s in self.subjobs if s.state is SubjobState.PENDING]
+        return [s for s in self.live if s.state is SubjobState.PENDING]
 
     def nodes_held(self) -> int:
         """Number of nodes currently executing this job's subjobs."""
@@ -220,6 +231,13 @@ class Job:
             raise SchedulingError(
                 f"job {self.job_id}: subjob progress {progressed} != "
                 f"events_done {self.events_done}"
+            )
+        expected = [s for s in self.subjobs if s.state is not SubjobState.DONE]
+        if self.live != expected:
+            raise SchedulingError(
+                f"job {self.job_id}: live-subjob index "
+                f"{[s.sid for s in self.live]} != non-DONE subjobs "
+                f"{[s.sid for s in expected]}"
             )
 
     def __repr__(self) -> str:
@@ -292,6 +310,11 @@ class Subjob:
         self.processed += events
         self.job.note_progress(events)
 
+    def finish(self) -> None:
+        """The DONE transition: mark done and leave the job's live index."""
+        self.state = SubjobState.DONE
+        self.job.live.remove(self)
+
     # -- splitting -----------------------------------------------------------
 
     def split_remaining_at(self, point: int) -> "Subjob":
@@ -312,7 +335,9 @@ class Subjob:
             )
         right = Subjob(self.job, Interval(point, self.segment.end))
         self.segment = Interval(self.segment.start, point)
-        self.job.subjobs.append(right)
+        job = self.job
+        job.subjobs.append(right)
+        job.live.append(right)
         return right
 
     def split_remaining_even(self, parts: int, min_events: int) -> List["Subjob"]:

@@ -280,3 +280,75 @@ class TestAgainstReferenceModel:
             interval.end - capacity, interval.end
         )
         assert cache.covers(kept)
+
+
+@st.composite
+def mutation_ops(draw):
+    """insert / touch / invalidate (drop) / clear; small capacities make
+    inserts evict."""
+    op = draw(st.sampled_from(["insert", "insert", "touch", "invalidate", "clear"]))
+    start = draw(st.integers(0, 80))
+    length = draw(st.integers(1, 30))
+    return (op, Interval(start, start + length))
+
+
+class TestCachedBetween:
+    """``cached_between(a, b)`` is ``|coverage ∩ [a, b)|``, computed on ints."""
+
+    @staticmethod
+    def brute_force(cache: LRUSegmentCache, a: int, b: int) -> int:
+        points = set()
+        for extent, _stamp in cache:
+            points |= set(extent)
+        return sum(1 for point in points if a <= point < b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(5, 60),
+        st.lists(mutation_ops(), max_size=14),
+        st.lists(st.tuples(st.integers(-5, 120), st.integers(-5, 120)), max_size=8),
+    )
+    def test_matches_brute_force(self, capacity, operations, queries):
+        cache = LRUSegmentCache(capacity)
+        now = 0.0
+        for op, interval in operations:
+            now += 1.0
+            if op == "insert":
+                cache.insert(interval, now)
+            elif op == "touch":
+                cache.touch(interval, now)
+            elif op == "invalidate":
+                cache.invalidate(interval)
+            else:
+                cache.clear()
+            for a, b in queries:
+                expected = self.brute_force(cache, a, b)
+                assert cache.cached_between(a, b) == expected
+                if a <= b:
+                    assert cache.cached_events(Interval(a, b)) == expected
+
+    def test_empty_and_inverted_ranges(self):
+        cache = LRUSegmentCache(100)
+        cache.insert(Interval(10, 50), now=1.0)
+        assert cache.cached_between(20, 20) == 0
+        assert cache.cached_between(40, 20) == 0
+        assert cache.cached_between(50, 10) == 0
+        assert cache.cached_between(0, 100) == 40
+        assert cache.cached_between(10, 11) == 1
+        assert cache.cached_between(49, 60) == 1
+        assert cache.cached_between(50, 60) == 0
+
+    def test_empty_cache(self):
+        cache = LRUSegmentCache(100)
+        assert cache.cached_between(0, 100) == 0
+        assert cache.cached_between(5, 5) == 0
+        assert LRUSegmentCache(0).cached_between(0, 10) == 0
+
+    def test_abutting_extents_with_distinct_stamps(self):
+        cache = LRUSegmentCache(100)
+        cache.insert(Interval(0, 10), now=1.0)
+        cache.insert(Interval(10, 20), now=2.0)
+        cache.insert(Interval(30, 40), now=3.0)
+        assert cache.extent_count() == 3
+        assert cache.cached_between(5, 35) == 20
+        assert cache.cached_between(-10, 100) == 30

@@ -85,6 +85,37 @@ class TestProfilePolicy:
         )
 
 
+class TestSpaceProbe:
+    """The space probe walks the live-subjob index; its samples are pinned
+    to the values of the original walk over every subjob ever split."""
+
+    ENTRIES = [
+        (i * 240.0, (i * 9001) % 60_000, 1500 + 377 * (i % 7)) for i in range(40)
+    ]
+
+    @pytest.mark.parametrize(
+        "policy,samples,live_sum,queued_sum,peak_live,peak_queued",
+        [
+            ("cache-splitting", 289, 159, 25, 6, 4),
+            ("out-of-order", 289, 895, 779, 28, 26),
+        ],
+    )
+    def test_samples_pinned(
+        self, policy, samples, live_sum, queued_sum, peak_live, peak_queued
+    ):
+        report = profile_policy(
+            micro_config(duration=2 * units.DAY, probe_interval=600.0),
+            policy,
+            trace=trace(*self.ENTRIES),
+        )
+        space = report.space
+        assert len(space) == samples
+        assert sum(s.live_subjobs for s in space) == live_sum
+        assert sum(s.queued_subjobs for s in space) == queued_sum
+        assert max(s.live_subjobs for s in space) == peak_live
+        assert report.peak_queued_subjobs() == peak_queued
+
+
 class TestComplexityExperiment:
     def test_registered_and_renders(self):
         from repro.experiments import Scale, run_experiment

@@ -50,7 +50,7 @@ class TestJobLifecycle:
         subjob = job.make_root_subjob()
         job.mark_started(1.0)
         subjob.advance(10)
-        subjob.state = SubjobState.DONE
+        subjob.finish()
         assert job.maybe_complete(4.0) is True
         assert job.done
         assert job.processing_time == pytest.approx(3.0)
@@ -67,6 +67,83 @@ class TestJobLifecycle:
         subjob = job.make_root_subjob()
         with pytest.raises(SchedulingError):
             subjob.advance(11)
+
+
+class TestLiveIndex:
+    """``Job.live``: the non-DONE subjobs, in creation order."""
+
+    def test_tracks_creation_and_finish(self):
+        job = make_job(0, 100)
+        root = job.make_root_subjob()
+        right = root.split_remaining_at(60)
+        middle = root.split_remaining_at(30)
+        assert job.live == [root, right, middle] == job.subjobs
+        right.advance(40)
+        right.finish()
+        assert right.state is SubjobState.DONE
+        assert job.live == [root, middle]
+        assert job.subjobs == [root, right, middle]  # history kept
+        job.check_invariants()
+
+    def test_make_subjobs_fills_index(self):
+        job = make_job(0, 100)
+        pieces = job.make_subjobs([Interval(50, 100), Interval(0, 50)])
+        assert job.live == pieces == job.subjobs
+        assert job.live is not job.subjobs
+
+    def test_state_queries_skip_finished(self):
+        job = make_job(0, 100)
+        root = job.make_root_subjob()
+        right = root.split_remaining_at(50)
+        root.state = SubjobState.RUNNING
+        assert job.running_subjobs() == [root]
+        assert job.pending_subjobs() == [right]
+        assert job.nodes_held() == 1
+        root.advance(50)
+        root.finish()
+        assert job.running_subjobs() == []
+        assert job.nodes_held() == 0
+        assert job.maybe_complete(1.0) is False  # ``right`` is still live
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda job, subjobs: job.live.pop(),  # dropped live subjob
+            lambda job, subjobs: job.live.reverse(),  # order drift
+            lambda job, subjobs: setattr(subjobs[0], "state", SubjobState.DONE),
+        ],
+        ids=["missing", "reordered", "done-still-indexed"],
+    )
+    def test_drift_is_an_invariant_error(self, corrupt):
+        job = make_job(0, 100)
+        root = job.make_root_subjob()
+        root.split_remaining_at(50)
+        job.check_invariants()
+        corrupt(job, job.subjobs)
+        with pytest.raises(SchedulingError, match="live-subjob index"):
+            job.check_invariants()
+
+    def test_sanitizer_reports_drift(self):
+        from repro.core.errors import InvariantViolation
+        from repro.sched.base import create_policy
+        from repro.sim.simulator import Simulation
+
+        from .policy_helpers import micro_config, trace
+
+        sim = Simulation(
+            micro_config(),
+            create_policy("cache-splitting"),
+            trace=trace((0.0, 0, 4000)),
+            check_invariants=True,
+        )
+        sim.prime()
+        sim.engine.run(until=1.0)
+        (job,) = sim.jobs.values()
+        assert len(job.live) == 2  # one piece per node
+        sim.checker.deep_check(sim.engine, sim.cluster, sim.jobs.values())
+        job.live.reverse()
+        with pytest.raises(InvariantViolation, match="live-subjob index"):
+            sim.checker.deep_check(sim.engine, sim.cluster, sim.jobs.values())
 
 
 class TestSubjobStructure:

@@ -55,6 +55,9 @@ class Cluster:
         self.cost_model = cost_model
         self.planner = planner
         self.obs = obs
+        #: Ascending ids of the idle nodes, kept by the nodes themselves at
+        #: their transitions so :meth:`idle_nodes` never scans the cluster.
+        self._idle_ids: List[int] = list(range(n_nodes))
         self.nodes: List[Node] = [
             Node(
                 node_id=i,
@@ -65,6 +68,7 @@ class Cluster:
                 chunk_events=chunk_events,
                 speed_factor=1.0 if speed_factors is None else speed_factors[i],
                 obs=obs,
+                idle_ids=self._idle_ids,
             )
             for i in range(n_nodes)
         ]
@@ -84,7 +88,11 @@ class Cluster:
 
     def idle_nodes(self) -> List[Node]:
         """All currently idle nodes, in id order (deterministic)."""
-        return [node for node in self.nodes if node.idle]
+        ids = self._idle_ids
+        if not ids:
+            return []
+        nodes = self.nodes
+        return [nodes[i] for i in ids]
 
     def busy_nodes(self) -> List[Node]:
         return [node for node in self.nodes if node.busy]

@@ -13,8 +13,9 @@ the paper's event-atomic processing).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.sanitizer import InvariantChecker
@@ -105,6 +106,7 @@ class Node:
         chunk_events: int = 2000,
         speed_factor: float = 1.0,
         obs: HookBus = NULL_BUS,
+        idle_ids: Optional[List[int]] = None,
     ) -> None:
         if chunk_events < 1:
             raise SchedulingError(f"chunk_events must be >= 1, got {chunk_events}")
@@ -141,8 +143,11 @@ class Node:
         #: Control-plane reservation (repro.faults.net): set while a
         #: reliable dispatch is in flight to this node so no other
         #: scheduling decision double-books it; cleared on delivery or
-        #: dead-letter.  Always ``False`` on a perfect network.
+        #: dead-letter.  Always ``False`` on a perfect network.  Written
+        #: only through :meth:`reserve` / :meth:`release`.
         self.reserved = False
+        #: The cluster's shared, ascending idle-node ids (:meth:`_sync_idle`).
+        self._idle_ids: List[int] = [node_id] if idle_ids is None else idle_ids
         #: Per-event time multiplier for tertiary chunks (tertiary-stall
         #: modelling; snapshotted into each chunk at plan time, mirroring
         #: the contention planner's rate_factor approximation).
@@ -210,6 +215,7 @@ class Node:
         subjob.state = SubjobState.RUNNING
         subjob.node = self
         self.current = subjob
+        self._sync_idle()
         subjob.job.mark_started(self.engine.now)
         self._begin_next_chunk()
 
@@ -233,6 +239,7 @@ class Node:
         self._account_chunk(chunk, events_done, min(elapsed, chunk.setup_latency))
         self._chunk = None
         self.current = None
+        self._sync_idle()
         self.stats.preemptions += 1
         if subjob.remaining_events == 0:
             # Preempted exactly at completion: it is in fact done.
@@ -298,6 +305,7 @@ class Node:
             subjob.node = None
             aborted = subjob
         self.failed = True
+        self._sync_idle()
         self._down_since = self.engine.now
         self.stats.failures += 1
         if wipe_cache:
@@ -332,6 +340,7 @@ class Node:
         if not self.failed:
             raise SchedulingError(f"node {self.node_id} is not failed")
         self.failed = False
+        self._sync_idle()
         self.stats.downtime_seconds += self.engine.now - self._down_since
         if self.checker is not None:
             self.checker.on_node_recovered(self)
@@ -340,6 +349,16 @@ class Node:
                 self.engine.now, kinds.NODE_RECOVER, "node", node=self.node_id
             )
 
+    def reserve(self) -> None:
+        """Hold the node for a dispatch in flight (repro.faults.net)."""
+        self.reserved = True
+        self._sync_idle()
+
+    def release(self) -> None:
+        """Drop the reservation: the dispatch was delivered or dead-lettered."""
+        self.reserved = False
+        self._sync_idle()
+
     def flush_downtime(self) -> None:
         """Fold any open downtime stretch into the stats (end of run)."""
         if self.failed:
@@ -347,6 +366,19 @@ class Node:
             self._down_since = self.engine.now
 
     # -- internals ----------------------------------------------------------------
+
+    def _sync_idle(self) -> None:
+        """List this node in the idle index exactly when it is idle; called
+        at every change of ``current``, ``failed`` or ``reserved``."""
+        ids = self._idle_ids
+        node_id = self.node_id
+        at = bisect_left(ids, node_id)
+        listed = at < len(ids) and ids[at] == node_id
+        if self.idle:
+            if not listed:
+                ids.insert(at, node_id)
+        elif listed:
+            del ids[at]
 
     def _begin_next_chunk(self) -> None:
         subjob = self.current
@@ -369,7 +401,7 @@ class Node:
             duration,
             self._on_chunk_complete,
             priority=EventPriority.COMPLETION,
-            label=f"chunk:{subjob.sid}@{self.node_id}",
+            label=f"chunk:{subjob.sid}@{self.node_id}" if self.obs.engine_dispatch else "",
         )
         self._chunk = _RunningChunk(
             plan, per_event, setup, self.engine.now, completion
@@ -384,6 +416,7 @@ class Node:
         self._chunk = None
         if subjob.remaining_events == 0:
             self.current = None
+            self._sync_idle()
             self._finish_subjob(subjob, deferred=False)
         else:
             self._begin_next_chunk()
@@ -446,7 +479,7 @@ class Node:
                 self,
                 subjob,
                 priority=EventPriority.COMPLETION,
-                label=f"done:{subjob.sid}",
+                label=f"done:{subjob.sid}" if self.obs.engine_dispatch else "",
             )
         else:
             self.on_subjob_complete(self, subjob)

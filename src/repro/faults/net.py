@@ -430,7 +430,7 @@ class ControlChannel:
         re-pend backlog if the node crashed in the meantime), and a
         dead-letter re-pends it.
         """
-        node.reserved = True
+        node.reserve()
         self.send_reliable(
             lambda: self._deliver_dispatch(node, subjob),
             kind="dispatch",
@@ -439,7 +439,7 @@ class ControlChannel:
         )
 
     def _deliver_dispatch(self, node: "Node", subjob: Subjob) -> None:
-        node.reserved = False
+        node.release()
         if (
             subjob.state not in (SubjobState.PENDING, SubjobState.SUSPENDED)
             or subjob.remaining_events == 0
@@ -451,7 +451,7 @@ class ControlChannel:
         node.start(subjob)
 
     def _dispatch_dead_letter(self, node: "Node", subjob: Subjob) -> None:
-        node.reserved = False
+        node.release()
         if (
             subjob.state in (SubjobState.PENDING, SubjobState.SUSPENDED)
             and subjob.remaining_events > 0

@@ -143,11 +143,20 @@ class SchedulerPolicy(ABC):
         """
 
     def on_node_recovered(self, node: Node) -> None:
-        """``node`` came back up, idle and (unless wiped) with its cache.
+        """``node`` came back up (unless wiped, with its cache).
+
+        Default: hand it to :meth:`feed_idle` if it is still idle — the
+        recovery manager's due retries have first claim on it.
+        """
+        if node.idle:
+            self.feed_idle(node)
+
+    def feed_idle(self, node: Node) -> None:
+        """Give work to the idle ``node`` (the one "node became idle" hook).
 
         Default: no action — work reaches the node through the normal
         completion/arrival flow.  Policies that only feed nodes on their
-        own events should override and feed the node here.
+        own events implement their feed routine here.
         """
 
     def pick_retry_node(self, subjob: Subjob) -> Optional[Node]:

@@ -67,7 +67,7 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
             assert chosen is not None
             self.start_on(node, chosen)
             return
-        self._feed_idle_node(node)
+        self.feed_idle(node)
 
     # -- job end (Table 2, "Upon job end") ------------------------------------------------
 
@@ -79,11 +79,7 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
         if self.queue:
             self._start_job(self.queue.popleft(), [node])
             return
-        self._feed_idle_node(node)
-
-    def on_node_recovered(self, node: Node) -> None:
-        if node.idle:
-            self._feed_idle_node(node)
+        self.feed_idle(node)
 
     # -- internals -------------------------------------------------------------------------
 
@@ -177,7 +173,7 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
         self._preemptions_for_cache += 1
         return best_node if best_node.idle else None
 
-    def _feed_idle_node(self, node: Node) -> None:
+    def feed_idle(self, node: Node) -> None:
         """No work of its own job: serve the queue, then other jobs'
         waiting subjobs, then split the running subjob with the largest
         caching benefit on this node."""

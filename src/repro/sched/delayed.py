@@ -137,16 +137,14 @@ class DelayedPolicy(SchedulerPolicy):
             self._schedule_batch([job])
 
     def on_subjob_end(self, node: Node, subjob: Subjob) -> None:
-        if node.idle:
-            self._feed_node(node)
+        self.feed_idle(node)
 
     def on_job_end(self, node: Node, job: Job, subjob: Subjob) -> None:
-        if node.idle:
-            self._feed_node(node)
+        self.feed_idle(node)
         if self.job_window is not None:
             # A finished job may unlock the next one for every idle node.
             for other in self.cluster.idle_nodes():
-                self._feed_node(other)
+                self.feed_idle(other)
 
     # -- faults -----------------------------------------------------------------------
 
@@ -176,11 +174,7 @@ class DelayedPolicy(SchedulerPolicy):
             subjob.origin = ("node", target.node_id)
             self.node_queues[target.node_id].append(subjob)
         for idle_node in self.cluster.idle_nodes():
-            self._feed_node(idle_node)
-
-    def on_node_recovered(self, node: Node) -> None:
-        if node.idle:
-            self._feed_node(node)
+            self.feed_idle(idle_node)
 
     # -- period machinery ------------------------------------------------------------
 
@@ -283,7 +277,7 @@ class DelayedPolicy(SchedulerPolicy):
         self.meta_queue.sort(key=lambda m: m.arrival_time)
 
         for node in self.cluster.idle_nodes():
-            self._feed_node(node)
+            self.feed_idle(node)
 
     def _cut_with_min_size(
         self, interval: Interval, points: List[int]
@@ -333,7 +327,7 @@ class DelayedPolicy(SchedulerPolicy):
                 break
         return front
 
-    def _feed_node(self, node: Node) -> None:
+    def feed_idle(self, node: Node) -> None:
         if not node.idle:
             return
         front = self._front_jobs()
@@ -346,7 +340,7 @@ class DelayedPolicy(SchedulerPolicy):
             members = [s for s in meta.members if not s.done]
             if not members:
                 self.meta_queue.pop(index)
-                self._feed_node(node)
+                self.feed_idle(node)
                 return
             if front is not None and not any(s.job in front for s in members):
                 continue

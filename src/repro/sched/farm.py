@@ -47,13 +47,11 @@ class ProcessingFarmPolicy(SchedulerPolicy):
         raise AssertionError("farm jobs have a single subjob")
 
     def on_job_end(self, node: Node, job: Job, subjob: Subjob) -> None:
-        if self.queue and node.idle:
-            self._run_whole_job(node, self.queue.popleft())
+        if node.idle:
+            self.feed_idle(node)
 
-    def on_node_recovered(self, node: Node) -> None:
-        # The farm only dispatches on arrivals and completions; a node
-        # coming back up is a third dispatch opportunity.
-        if self.queue and node.idle:
+    def feed_idle(self, node: Node) -> None:
+        if self.queue:
             self._run_whole_job(node, self.queue.popleft())
 
     # -- internals ----------------------------------------------------------------

@@ -121,17 +121,15 @@ class OutOfOrderPolicy(SchedulerPolicy):
 
         # Any still-idle node steals from the most loaded one.
         for node in self.cluster.idle_nodes():
-            self._feed_node(node)
+            self.feed_idle(node)
 
     # -- completions -----------------------------------------------------------------
 
     def on_subjob_end(self, node: Node, subjob: Subjob) -> None:
-        if node.idle:
-            self._feed_node(node)
+        self.feed_idle(node)
 
     def on_job_end(self, node: Node, job: Job, subjob: Subjob) -> None:
-        if node.idle:
-            self._feed_node(node)
+        self.feed_idle(node)
 
     # -- faults ------------------------------------------------------------------------
 
@@ -145,15 +143,11 @@ class OutOfOrderPolicy(SchedulerPolicy):
             self.nocache_queue.append(subjob)
             self._arm_fairness(subjob.job)
         for idle_node in self.cluster.idle_nodes():
-            self._feed_node(idle_node)
-
-    def on_node_recovered(self, node: Node) -> None:
-        if node.idle:
-            self._feed_node(node)
+            self.feed_idle(idle_node)
 
     # -- node feeding (Table 3, "Whenever nodes become available") ---------------------
 
-    def _feed_node(self, node: Node) -> None:
+    def feed_idle(self, node: Node) -> None:
         if not node.idle:
             return
         # 1. Fairness-promoted jobs first.
@@ -333,7 +327,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
                     waited=self.engine.now - job.arrival_time,
                 )
             for node in self.cluster.idle_nodes():
-                self._feed_node(node)
+                self.feed_idle(node)
 
     def _pop_nocache_subjob_of(self, job: Job) -> Optional[Subjob]:
         for index, subjob in enumerate(self.nocache_queue):

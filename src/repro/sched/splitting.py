@@ -67,7 +67,7 @@ class JobSplittingPolicy(SchedulerPolicy):
             suspended.sort(key=lambda s: -s.remaining_events)
             self.start_on(node, suspended[0])
             return
-        self._feed_idle_node(node)
+        self.feed_idle(node)
 
     # -- job end (Table 1, "Upon job end") ----------------------------------------------
 
@@ -81,11 +81,7 @@ class JobSplittingPolicy(SchedulerPolicy):
             self.running_jobs.append(next_job)
             self.start_on(node, next_job.make_root_subjob())
             return
-        self._feed_idle_node(node)
-
-    def on_node_recovered(self, node: Node) -> None:
-        if node.idle:
-            self._feed_idle_node(node)
+        self.feed_idle(node)
 
     # -- internals ----------------------------------------------------------------------
 
@@ -126,7 +122,7 @@ class JobSplittingPolicy(SchedulerPolicy):
                 return node
         return None
 
-    def _feed_idle_node(self, node: Node) -> None:
+    def feed_idle(self, node: Node) -> None:
         """Table 1: split the largest running subjob onto the free node."""
         if self.queue:
             # Defensive liveness guard: by Table 1's own induction the

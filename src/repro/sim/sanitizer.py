@@ -184,6 +184,13 @@ class InvariantChecker:
                 raise InvariantViolation(
                     f"failed node {node.node_id} is executing {current.sid}"
                 )
+        indexed = [node.node_id for node in cluster.idle_nodes()]
+        scanned = [node.node_id for node in cluster if node.idle]
+        if indexed != scanned:
+            raise InvariantViolation(
+                f"idle-node index {indexed} disagrees with the node "
+                f"states {scanned}"
+            )
         running_sids = {
             node.current.sid for node in cluster if node.current is not None
         }

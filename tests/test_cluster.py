@@ -99,3 +99,107 @@ class TestQueries:
         cluster = make_cluster(engine, tertiary)
         assert cluster.utilization(0.0) == 0.0
         assert cluster.utilization(100.0) == 0.0
+
+
+class TestIdleIndex:
+    """``idle_nodes()`` reads an index the nodes keep at their
+    transitions; after each one it must equal the scan, order included."""
+
+    def _cluster(self, engine, tertiary, n_nodes=4):
+        cluster = make_cluster(engine, tertiary, n_nodes=n_nodes)
+        for node in cluster:
+            node.on_subjob_complete = lambda n, s: None
+        return cluster
+
+    def _assert_idle(self, cluster, expected):
+        assert [n.node_id for n in cluster.idle_nodes()] == expected
+        assert [n.node_id for n in cluster if n.idle] == expected
+
+    def test_start_and_preempt(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        self._assert_idle(cluster, [0, 1, 2, 3])
+        cluster[2].start(make_subjob(0, 1000))
+        self._assert_idle(cluster, [0, 1, 3])
+        cluster[0].start(make_subjob(2000, 1000))
+        self._assert_idle(cluster, [1, 3])
+        engine.run(until=10.0)
+        assert cluster[2].preempt() is not None
+        self._assert_idle(cluster, [1, 2, 3])
+        assert cluster[0].preempt() is not None
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_preempt_at_completion_frees_the_node(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        subjob = make_subjob(0, 100)
+        cluster[1].start(subjob)
+        # 100 uncached events end at t=80; stop just short of the
+        # completion event so the preemption finds all of them done.
+        engine.run(until=80.0 - 1e-10)
+        assert cluster[1].preempt() is None
+        assert subjob.remaining_events == 0
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_chunk_complete_finish(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        seen = []
+        cluster[3].on_subjob_complete = lambda n, s: seen.append(
+            [m.node_id for m in cluster.idle_nodes()]
+        )
+        cluster[1].start(make_subjob(0, 1000))
+        cluster[3].start(make_subjob(5000, 100))
+        self._assert_idle(cluster, [0, 2])
+        engine.run(until=100.0)
+        # The completion handler already sees the freed node as idle.
+        assert seen == [[0, 2, 3]]
+        self._assert_idle(cluster, [0, 2, 3])
+        engine.run()
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_fail_and_recover(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        cluster[1].start(make_subjob(0, 1000))
+        cluster[1].fail()
+        self._assert_idle(cluster, [0, 2, 3])
+        cluster[3].fail()  # an idle node crashing
+        self._assert_idle(cluster, [0, 2])
+        cluster[3].recover()
+        self._assert_idle(cluster, [0, 2, 3])
+        cluster[1].recover()
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_reserve_and_release(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        cluster[2].reserve()
+        self._assert_idle(cluster, [0, 1, 3])
+        cluster[0].reserve()
+        self._assert_idle(cluster, [1, 3])
+        cluster[2].release()
+        self._assert_idle(cluster, [1, 2, 3])
+        cluster[0].release()
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_recovered_node_still_reserved_stays_out(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        cluster[1].reserve()
+        cluster[1].fail()
+        cluster[1].recover()
+        # Up again, but a dispatch is still in flight to it.
+        assert not cluster[1].failed
+        self._assert_idle(cluster, [0, 2, 3])
+        cluster[1].release()
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_release_of_a_failed_node_keeps_it_out(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        cluster[2].reserve()
+        cluster[2].fail()
+        cluster[2].release()  # the dispatch dead-letters while it is down
+        self._assert_idle(cluster, [0, 1, 3])
+        cluster[2].recover()
+        self._assert_idle(cluster, [0, 1, 2, 3])
+
+    def test_fully_busy_cluster_returns_empty(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary, n_nodes=2)
+        cluster[0].start(make_subjob(0, 1000))
+        cluster[1].reserve()
+        assert cluster.idle_nodes() == []

@@ -1,18 +1,21 @@
-"""Differential oracle for the live-subjob index and the int-only cache
-range query.
+"""Differential oracle for the scheduler-state indexes: the live-subjob
+index, the int-only cache range query and the idle-node index.
 
 The shipped code answers "which subjobs of this job are waiting/running?"
-from ``Job.live`` and "how much of this subjob is cached on that node?"
-with ``LRUSegmentCache.cached_between``.  This module freezes the code
-those replaced — per-state scans over the whole subjob history and a
-cache lookup that builds the remaining ``Interval`` per candidate — as a
-test-only reference, runs each scenario once with the shipped code and
-once with the reference, and requires the recorded ``subjob.*`` hook
-streams (every start, resume, suspend, split, preempt and end, with its
-time, node and payload) to be identical.
+from ``Job.live``, "how much of this subjob is cached on that node?"
+with ``LRUSegmentCache.cached_between`` and "which nodes are idle?" from
+the index behind ``Cluster.idle_nodes``.  This module freezes the code
+those replaced — per-state scans over the whole subjob history, a cache
+lookup that builds the remaining ``Interval`` per candidate and a scan of
+every node's ``idle`` flag — as a test-only reference, runs each scenario
+once with the shipped code and once with the reference, and requires the
+recorded ``subjob.*`` hook streams (every start, resume, suspend, split,
+preempt and end, with its time, node and payload) and the summaries to
+be identical.
 
 Both runs have the sim-sanitizer on, so the ``live == scan`` check in
-``Job.check_invariants`` runs at every probe of every scenario as well.
+``Job.check_invariants`` and the idle ``index == scan`` check run at
+every probe of every scenario as well.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from typing import List, Optional, Tuple
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core import units
 from repro.obs import TraceRecorder
 from repro.sched.base import create_policy
 from repro.sched.cache_splitting import CacheOrientedSplittingPolicy
 from repro.sim import simulator as simulator_module
-from repro.sim.config import FaultConfig, quick_config
+from repro.sim.config import FaultConfig, NetFaultConfig, quick_config
 from repro.sim.export import result_summary_dict
 from repro.sim.simulator import Simulation
 from repro.topo.spec import topology_preset
@@ -105,9 +109,9 @@ class ReferenceCacheSplitting(CacheOrientedSplittingPolicy):
             assert chosen is not None
             self.start_on(node, chosen)
             return
-        self._feed_idle_node(node)
+        self.feed_idle(node)
 
-    def _feed_idle_node(self, node: Node) -> None:
+    def feed_idle(self, node: Node) -> None:
         if self.queue:
             self._start_job(self.queue.popleft(), [node])
             return
@@ -174,6 +178,12 @@ def _run(config, policy, requests=None):
     return stream, summary
 
 
+def reference_idle_nodes(cluster: Cluster) -> List[Node]:
+    """Scan-based ``Cluster.idle_nodes``: every node's ``idle`` flag, in
+    id order."""
+    return [node for node in cluster.nodes if node.idle]
+
+
 def reference_policy(name):
     if name == "cache-splitting":
         return ReferenceCacheSplitting()
@@ -237,3 +247,87 @@ def test_reference_job_is_in_use():
     (job,) = sim.jobs.values()
     assert type(job) is ReferenceJob and job.done
     assert type(sim.policy) is ReferenceCacheSplitting
+
+
+# ---------------------------------------------------------------------------
+# The idle-node index
+# ---------------------------------------------------------------------------
+
+IDLE_POLICIES = (
+    "farm",
+    "splitting",
+    "cache-splitting",
+    "out-of-order",
+    "delayed",
+    "decentral",
+)
+
+#: Constructor overrides: delayed's default two-day period would leave
+#: the two-day scenarios below without a single batch.
+IDLE_POLICY_PARAMS = {"delayed": {"period": 6 * units.HOUR}}
+
+NODE_FAULTS = FaultConfig(node_mtbf=6 * units.HOUR, node_mttr=30 * units.MINUTE)
+
+
+def assert_idle_matches_reference(name, config, requests=None):
+    """The shipped policy against itself on the scan-based ``idle_nodes``."""
+    params = IDLE_POLICY_PARAMS.get(name, {})
+    shipped = _run(config, create_policy(name, **params), requests)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cluster, "idle_nodes", reference_idle_nodes)
+        reference = _run(config, create_policy(name, **params), requests)
+    assert shipped[0], "scenario emitted no subjob events"
+    assert shipped[0] == reference[0]
+    assert shipped[1] == reference[1]
+    return shipped
+
+
+@pytest.mark.parametrize("name", IDLE_POLICIES)
+class TestIdleIndexEqualsScan:
+    @FUZZ_SETTINGS
+    @given(entries=workloads(), n_nodes=st.integers(2, 4))
+    def test_fuzzed_traces(self, name, entries, n_nodes):
+        assert_idle_matches_reference(
+            name,
+            micro_config(n_nodes=n_nodes, duration=6 * units.DAY),
+            trace(*entries),
+        )
+
+    def test_node_faults(self, name):
+        config = quick_config(seed=7, duration=2 * units.DAY, faults=NODE_FAULTS)
+        _, summary = assert_idle_matches_reference(name, config)
+        assert summary["faults"]["failures"] > 0
+
+    def test_lossy_net_with_node_faults(self, name):
+        # Central dispatches over a lossy channel reserve and release
+        # nodes while crashes take nodes down and back up.
+        config = quick_config(
+            seed=3,
+            n_nodes=6,
+            duration=2 * units.DAY,
+            arrival_rate_per_hour=6.0,
+            faults=NODE_FAULTS,
+            net=NetFaultConfig(
+                loss=0.2, duplicate=0.1, delay_mean=0.05, reorder=0.1,
+                ack_timeout=2.0,
+            ),
+        )
+        _, summary = assert_idle_matches_reference(name, config)
+        assert summary["sched"]["retransmits"] > 0
+
+
+def test_reference_idle_scan_is_in_use():
+    """Guard for the idle oracle: the patched cluster answers from the
+    scan, which ignores the index entirely."""
+    calls = []
+
+    def counting_scan(cluster):
+        calls.append(1)
+        return reference_idle_nodes(cluster)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cluster, "idle_nodes", counting_scan)
+        sim = Simulation(micro_config(), create_policy("farm"), trace=trace((0.0, 0, 400)))
+        sim.cluster._idle_ids.clear()
+        result = sim.run()
+    assert calls and result.jobs_completed == 1

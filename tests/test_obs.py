@@ -7,10 +7,14 @@ trace`` CLI command.
 """
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.cluster.access import CachingPlanner
+from repro.cluster.cluster import Cluster
+from repro.cluster.costmodel import CostModel
 from repro.core import units
 from repro.core.engine import Engine
 from repro.core.errors import ObsError
@@ -32,8 +36,11 @@ from repro.obs.chrome_trace import (
     to_chrome_trace,
     validate_trace_events,
 )
+from repro.sched.base import create_policy
 from repro.sim.config import quick_config
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import Simulation, run_simulation
+
+from .helpers import make_subjob
 
 
 def _traced_run(policy="out-of-order", seed=3, **recorder_kwargs):
@@ -154,6 +161,59 @@ class TestEngineDispatchOrdering:
         engine.call_at(1.0, lambda: None)
         engine.run()
         assert not [e for e in sink.events if e.kind == kinds.ENGINE_DISPATCH]
+
+
+class TestEngineDispatchLabels:
+    """Nodes name their calendar events only for dispatch tracing."""
+
+    def test_labels_show_in_a_dispatch_traced_run(self):
+        sink = ListSink()
+        sim = Simulation(
+            quick_config(arrival_rate_per_hour=2.0, duration=units.DAY, seed=3),
+            create_policy("out-of-order"),
+            sink=sink,
+        )
+        sim.obs.engine_dispatch = True
+        sim.run()
+        labels = [
+            e.data["label"] for e in sink.events if e.kind == kinds.ENGINE_DISPATCH
+        ]
+        chunks = [label for label in labels if label.startswith("chunk:")]
+        assert chunks
+        assert all(re.fullmatch(r"chunk:\d+\.\d+@\d+", label) for label in chunks)
+
+    def _node(self, tertiary, engine_dispatch):
+        sink = ListSink()
+        bus = make_bus(sink)
+        bus.engine_dispatch = engine_dispatch
+        engine = Engine(obs=bus)
+        cluster = Cluster(
+            engine, 2, 10_000, CostModel.from_hardware(600 * units.KB),
+            CachingPlanner(tertiary), chunk_events=100, obs=bus,
+        )
+        node = cluster[1]
+        node.on_subjob_complete = lambda n, s: None
+        return sink, engine, node
+
+    def test_chunk_and_deferred_done_labels(self, tertiary):
+        sink, engine, node = self._node(tertiary, engine_dispatch=True)
+        subjob = make_subjob(0, 200)
+        node.start(subjob)
+        # Two 100-event uncached chunks end at t=80 and t=160; preempting
+        # just short of the second finds it done, so the completion is
+        # delivered through a deferred calendar event.
+        engine.run(until=160.0 - 1e-10)
+        assert node.preempt() is None
+        engine.run()
+        labels = [
+            e.data["label"] for e in sink.events if e.kind == kinds.ENGINE_DISPATCH
+        ]
+        assert labels == [f"chunk:{subjob.sid}@1", f"done:{subjob.sid}"]
+
+    def test_no_label_is_built_without_dispatch_tracing(self, tertiary):
+        _, engine, node = self._node(tertiary, engine_dispatch=False)
+        node.start(make_subjob(0, 200))
+        assert node._chunk.completion_event.label == ""
 
 
 class TestDeterminism:

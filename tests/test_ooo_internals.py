@@ -58,7 +58,7 @@ class TestStealFromQueue:
         policy.nocache_queue.clear()  # force the steal path
         if displaced is not None:
             displaced.state = SubjobState.DONE  # park it out of the way
-        policy._feed_node(sim.cluster[1])
+        policy.feed_idle(sim.cluster[1])
         thief_subjob = sim.cluster[1].current
         assert thief_subjob is not None
         assert thief_subjob.steal_preemptible
@@ -73,7 +73,7 @@ class TestStealFromQueue:
         sim.engine.run(until=0.5)
         idle = [n for n in sim.cluster if n.idle]
         assert idle
-        policy._feed_node(idle[0])
+        policy.feed_idle(idle[0])
         assert idle[0].idle  # nothing worth stealing
 
     def test_thief_share_formula(self):
@@ -95,7 +95,7 @@ class TestFeedNodePriorities:
         policy.node_queues[0].append(cached)
         policy.nocache_queue.appendleft(displaced)
         policy.priority_jobs.append(displaced.job)
-        policy._feed_node(node)
+        policy.feed_idle(node)
         assert node.current is displaced
 
     def test_empty_priority_entry_discarded(self):
@@ -108,7 +108,7 @@ class TestFeedNodePriorities:
         cached = make_subjob(50_000, 500)
         cached.origin = ("node", 0)
         policy.node_queues[0].append(cached)
-        policy._feed_node(node)
+        policy.feed_idle(node)
         assert node.current is cached
         assert ghost_job not in policy.priority_jobs
 

@@ -198,6 +198,30 @@ class TestAssignmentCorruption:
         assert checker.checks_run >= 2
 
 
+class TestIdleIndexCorruption:
+    def test_index_disagreeing_with_the_scan_is_caught(self):
+        sim = _checked_simulation()
+        sim.prime()
+        sim.engine.run(until=units.DAY)
+        sim.checker.deep_check(sim.engine, sim.cluster, sim.jobs.values())
+        # Test-only hook: flip node 0's membership in the idle index, as a
+        # transition that forgot to update it would.
+        ids = sim.cluster._idle_ids
+        if ids and ids[0] == 0:
+            ids.pop(0)
+        else:
+            ids.insert(0, 0)
+        with pytest.raises(InvariantViolation, match="idle-node index"):
+            sim.checker.deep_check(sim.engine, sim.cluster, sim.jobs.values())
+
+    def test_index_out_of_order_is_caught(self):
+        sim = _checked_simulation()
+        sim.prime()
+        sim.cluster._idle_ids.reverse()  # every node idle before the run
+        with pytest.raises(InvariantViolation, match="idle-node index"):
+            sim.checker.deep_check(sim.engine, sim.cluster, sim.jobs.values())
+
+
 class TestCli:
     def test_simulate_check_invariants_flag(self, capsys):
         assert (

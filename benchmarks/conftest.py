@@ -5,9 +5,8 @@ paper at a reduced-but-faithful scale and prints the same rows/series the
 paper reports.  Set ``REPRO_BENCH_SCALE=smoke|quick|full`` to trade
 fidelity for wall time (default: quick).
 
-The simulations are deterministic, so every figure bench runs a single
-round: the timing numbers report harness cost, the printed tables report
-the science.
+The suite checks the science, not the speed: simulator throughput is
+timed by ``repro bench`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -23,17 +22,10 @@ def bench_scale() -> Scale:
     return Scale(os.environ.get("REPRO_BENCH_SCALE", "quick"))
 
 
-def run_figure_benchmark(benchmark, exp_id: str, scale: Scale | None = None):
-    """Run one registered experiment under pytest-benchmark and print its
-    paper-figure output."""
+def run_figure(exp_id: str, scale: Scale | None = None):
+    """Run one registered experiment and print its paper-figure output."""
     scale = scale or bench_scale()
-    outcome = benchmark.pedantic(
-        run_experiment,
-        args=(exp_id,),
-        kwargs={"scale": scale, "processes": None},
-        rounds=1,
-        iterations=1,
-    )
+    outcome = run_experiment(exp_id, scale=scale, processes=None)
     header = (
         f"\n{'=' * 72}\n{exp_id}: {outcome.experiment.title} "
         f"[scale={scale.value}]\n"
@@ -46,10 +38,6 @@ def run_figure_benchmark(benchmark, exp_id: str, scale: Scale | None = None):
 
 
 @pytest.fixture
-def figure(benchmark):
-    """Fixture wrapping run_figure_benchmark."""
-
-    def _run(exp_id: str, scale: Scale | None = None):
-        return run_figure_benchmark(benchmark, exp_id, scale)
-
-    return _run
+def figure():
+    """Fixture returning :func:`run_figure`."""
+    return run_figure

@@ -549,8 +549,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--profile",
         action="store_true",
-        help="additionally run each benchmark under cProfile and attach "
-        "the top hotspots to its JSON record",
+        help="additionally run each kernel and policy benchmark under "
+        "cProfile and attach the top hotspots to its JSON record (scale "
+        "points run in child processes and carry no hotspots)",
     )
     bench_parser.add_argument(
         "--kind",
@@ -1103,7 +1104,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if kind == "kernel":
             report = run_kernel_bench(quick=args.quick, profile=args.profile)
         elif kind == "scale":
-            report = run_scale_bench(quick=args.quick, profile=args.profile)
+            report = run_scale_bench(quick=args.quick)
         else:
             report = run_policy_bench(quick=args.quick, profile=args.profile)
         print(render_report(report))

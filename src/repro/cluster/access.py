@@ -276,9 +276,6 @@ class RemoteReadPlanner(CachingPlanner):
             return ChunkPlan(miss, DataSource.TERTIARY)
         return ChunkPlan(best_prefix, DataSource.REMOTE, owner=best_owner)
 
-    def peers(self) -> List["Node"]:
-        return list(self._peers)
-
     def _on_remote_read(self, node: "Node", owner: "Node", processed: Interval) -> None:
         self.stats.remote_events += processed.length
         self.stats.remote_chunks += 1

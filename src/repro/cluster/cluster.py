@@ -94,6 +94,11 @@ class Cluster:
         nodes = self.nodes
         return [nodes[i] for i in ids]
 
+    def first_idle(self) -> Optional[Node]:
+        """The idle node with the lowest id, or None when none is idle."""
+        ids = self._idle_ids
+        return self.nodes[ids[0]] if ids else None
+
     def busy_nodes(self) -> List[Node]:
         return [node for node in self.nodes if node.busy]
 

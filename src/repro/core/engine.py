@@ -369,11 +369,6 @@ class Timer:
         """True while a firing is pending."""
         return self._event is not None and not self._event.cancelled
 
-    @property
-    def fire_time(self) -> Optional[float]:
-        """Absolute time of the pending firing (None when disarmed)."""
-        return self._event.time if self.active and self._event else None
-
     def schedule_at(self, time: float) -> ScheduledEvent:
         """Arm (or re-arm) the timer to fire at absolute ``time``."""
         self.cancel()

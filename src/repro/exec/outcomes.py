@@ -13,7 +13,6 @@ that :mod:`repro.sim.runner` can depend on it without an import cycle.
 
 from __future__ import annotations
 
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -46,29 +45,6 @@ class SpecError:
             "message": self.message,
             "attempts": self.attempts,
         }
-
-    @classmethod
-    def from_exception(
-        cls,
-        error: BaseException,
-        index: int,
-        label: str,
-        policy: str,
-        attempts: int,
-    ) -> "SpecError":
-        return cls(
-            index=index,
-            label=label,
-            policy=policy,
-            kind=type(error).__name__,
-            message=str(error),
-            traceback="".join(
-                traceback_module.format_exception(
-                    type(error), error, error.__traceback__
-                )
-            ),
-            attempts=attempts,
-        )
 
 
 @dataclass

@@ -170,15 +170,13 @@ def bench_scale_point(
 
 def run_scale_bench(
     quick: bool = False,
-    profile: bool = False,
     sizes: Optional[Sequence[int]] = None,
 ) -> BenchReport:
     """All scale points as one ``scale`` report.
 
-    ``profile`` is accepted for CLI symmetry but ignored: the work runs
-    in child processes, which cProfile in the parent cannot see.
+    The points run in child processes, which cProfile in the parent
+    cannot see, so scale records carry no hotspots.
     """
-    del profile  # hotspots are not supported for out-of-process points
     if sizes is None:
         sizes = QUICK_SCALE_SIZES if quick else SCALE_SIZES
     records = tuple(bench_scale_point(n_nodes) for n_nodes in sizes)

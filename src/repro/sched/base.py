@@ -225,17 +225,6 @@ class SchedulerPolicy(ABC):
         """The simulation's hook bus (disabled singleton before bind)."""
         return self.ctx.obs if self.ctx is not None else NULL_BUS
 
-    def tier_distance(self, node_a: Node, node_b: Node) -> int:
-        """Tier-tree hops between two nodes (0 on flat topologies).
-
-        The locality score cache-aware policies use as a tie-break;
-        distance-blind policies simply never call it.
-        """
-        ctx = self.ctx
-        if ctx is None or ctx.topo is None:
-            return 0
-        return ctx.topo.distance(node_a.node_id, node_b.node_id)
-
     def emit(self, kind: str, **fields: object) -> None:
         """Emit one trace event stamped with the current simulation time.
 

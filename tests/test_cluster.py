@@ -198,6 +198,20 @@ class TestIdleIndex:
         cluster[2].recover()
         self._assert_idle(cluster, [0, 1, 2, 3])
 
+    def test_first_idle(self, engine, tertiary):
+        cluster = self._cluster(engine, tertiary)
+        assert cluster.first_idle() is cluster[0]
+        cluster[0].reserve()
+        for node_id in (1, 2, 3):
+            cluster[node_id].start(make_subjob(1000 * node_id, 1000))
+        assert cluster.first_idle() is None
+        cluster[2].fail()
+        assert cluster.first_idle() is None
+        cluster[2].recover()
+        assert cluster.first_idle() is cluster[2]
+        cluster[0].release()
+        assert cluster.first_idle() is cluster[0]
+
     def test_fully_busy_cluster_returns_empty(self, engine, tertiary):
         cluster = self._cluster(engine, tertiary, n_nodes=2)
         cluster[0].start(make_subjob(0, 1000))

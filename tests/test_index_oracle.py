@@ -184,6 +184,11 @@ def reference_idle_nodes(cluster: Cluster) -> List[Node]:
     return [node for node in cluster.nodes if node.idle]
 
 
+def reference_first_idle(cluster: Cluster) -> Optional[Node]:
+    """Scan-based ``Cluster.first_idle``: the lowest-id idle node."""
+    return next((node for node in cluster.nodes if node.idle), None)
+
+
 def reference_policy(name):
     if name == "cache-splitting":
         return ReferenceCacheSplitting()
@@ -270,11 +275,13 @@ NODE_FAULTS = FaultConfig(node_mtbf=6 * units.HOUR, node_mttr=30 * units.MINUTE)
 
 
 def assert_idle_matches_reference(name, config, requests=None):
-    """The shipped policy against itself on the scan-based ``idle_nodes``."""
+    """The shipped policy against itself on the scan-based ``idle_nodes``
+    and ``first_idle``."""
     params = IDLE_POLICY_PARAMS.get(name, {})
     shipped = _run(config, create_policy(name, **params), requests)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Cluster, "idle_nodes", reference_idle_nodes)
+        mp.setattr(Cluster, "first_idle", reference_first_idle)
         reference = _run(config, create_policy(name, **params), requests)
     assert shipped[0], "scenario emitted no subjob events"
     assert shipped[0] == reference[0]
@@ -318,15 +325,19 @@ class TestIdleIndexEqualsScan:
 
 def test_reference_idle_scan_is_in_use():
     """Guard for the idle oracle: the patched cluster answers from the
-    scan, which ignores the index entirely."""
+    scans, which ignore the index entirely."""
     calls = []
 
-    def counting_scan(cluster):
-        calls.append(1)
-        return reference_idle_nodes(cluster)
+    def counting(scan):
+        def counted(cluster):
+            calls.append(scan.__name__)
+            return scan(cluster)
+
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Cluster, "idle_nodes", counting_scan)
+        mp.setattr(Cluster, "idle_nodes", counting(reference_idle_nodes))
+        mp.setattr(Cluster, "first_idle", counting(reference_first_idle))
         sim = Simulation(micro_config(), create_policy("farm"), trace=trace((0.0, 0, 400)))
         sim.cluster._idle_ids.clear()
         result = sim.run()
